@@ -18,9 +18,6 @@
 //! * [`stream`] — `Arc`-shared tuple streams and the copy-on-write
 //!   stage kernels the physical-plan executor pipelines through, plus
 //!   single-pass hash kernels for equi-join and Merge in [`algebra`].
-//! * [`batch`] — column-oriented batches with typed per-attribute
-//!   vectors, selection-vector filtering and late tag materialization;
-//!   the executor's fast path for fused scan→filter→project pipelines.
 //! * [`lineage`] — provenance roll-ups over tagged relations.
 //! * [`render`] — the paper's `datum, {o}, {i}` presentation.
 //!
@@ -49,7 +46,6 @@
 //! ```
 
 pub mod algebra;
-pub mod batch;
 pub mod cell;
 pub mod error;
 pub mod lineage;
@@ -63,7 +59,6 @@ pub mod tuple;
 pub mod prelude {
     pub use crate::algebra;
     pub use crate::algebra::{coalesce::ConflictPolicy, merge::merge};
-    pub use crate::batch::ColumnBatch;
     pub use crate::cell::Cell;
     pub use crate::error::PolygenError;
     pub use crate::lineage;

@@ -14,11 +14,6 @@
 //!   and spilling to a heap vector of words beyond that. Every polygen
 //!   operator unions these sets per cell, so `union_with` is the hottest
 //!   operation in the entire system.
-//!
-//! The [`alt`] submodule provides two deliberately naive alternative
-//! representations (sorted vector, B-tree set) behind a common trait, used
-//! by the `sourceset_repr` benchmark to quantify the representation choice
-//! (an ablation called out in `DESIGN.md`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -323,105 +318,6 @@ impl FromIterator<SourceId> for SourceSet {
     }
 }
 
-pub mod alt {
-    //! Alternative source-set representations for the ablation benchmark.
-    //!
-    //! The paper never discusses the tag-set data structure (in 1990 three
-    //! databases fit in anything); with "hundreds of databases" the choice
-    //! shows. `sourceset_repr` benches these against the bitset.
-
-    use super::SourceId;
-    use std::collections::BTreeSet;
-
-    /// Minimal set interface shared by all representations.
-    pub trait TagSet: Clone + Default {
-        /// Insert one id.
-        fn insert_id(&mut self, id: SourceId);
-        /// In-place union.
-        fn union_with_set(&mut self, other: &Self);
-        /// Membership.
-        fn contains_id(&self, id: SourceId) -> bool;
-        /// Cardinality.
-        fn card(&self) -> usize;
-    }
-
-    impl TagSet for super::SourceSet {
-        fn insert_id(&mut self, id: SourceId) {
-            self.insert(id);
-        }
-        fn union_with_set(&mut self, other: &Self) {
-            self.union_with(other);
-        }
-        fn contains_id(&self, id: SourceId) -> bool {
-            self.contains(id)
-        }
-        fn card(&self) -> usize {
-            self.len()
-        }
-    }
-
-    /// Sorted-`Vec` representation (cache friendly, O(n) merge).
-    #[derive(Debug, Clone, Default, PartialEq, Eq)]
-    pub struct SortedVecSet(pub Vec<u16>);
-
-    impl TagSet for SortedVecSet {
-        fn insert_id(&mut self, id: SourceId) {
-            if let Err(pos) = self.0.binary_search(&id.0) {
-                self.0.insert(pos, id.0);
-            }
-        }
-        fn union_with_set(&mut self, other: &Self) {
-            let mut merged = Vec::with_capacity(self.0.len() + other.0.len());
-            let (mut i, mut j) = (0, 0);
-            while i < self.0.len() && j < other.0.len() {
-                match self.0[i].cmp(&other.0[j]) {
-                    std::cmp::Ordering::Less => {
-                        merged.push(self.0[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        merged.push(other.0[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        merged.push(self.0[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            merged.extend_from_slice(&self.0[i..]);
-            merged.extend_from_slice(&other.0[j..]);
-            self.0 = merged;
-        }
-        fn contains_id(&self, id: SourceId) -> bool {
-            self.0.binary_search(&id.0).is_ok()
-        }
-        fn card(&self) -> usize {
-            self.0.len()
-        }
-    }
-
-    /// `BTreeSet` representation (pointer-chasing baseline).
-    #[derive(Debug, Clone, Default, PartialEq, Eq)]
-    pub struct BTreeTagSet(pub BTreeSet<u16>);
-
-    impl TagSet for BTreeTagSet {
-        fn insert_id(&mut self, id: SourceId) {
-            self.0.insert(id.0);
-        }
-        fn union_with_set(&mut self, other: &Self) {
-            self.0.extend(other.0.iter().copied());
-        }
-        fn contains_id(&self, id: SourceId) -> bool {
-            self.0.contains(&id.0)
-        }
-        fn card(&self) -> usize {
-            self.0.len()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,28 +429,5 @@ mod tests {
         assert_eq!(a.union(&b), b.union(&a));
         assert_eq!(a.union(&a), a);
         assert_eq!(a.union(&SourceSet::empty()), a);
-    }
-
-    #[test]
-    fn alt_representations_agree() {
-        use alt::{BTreeTagSet, SortedVecSet, TagSet};
-        fn exercise<T: TagSet>() -> (usize, bool, bool) {
-            let mut a = T::default();
-            a.insert_id(SourceId(3));
-            a.insert_id(SourceId(1));
-            a.insert_id(SourceId(3));
-            let mut b = T::default();
-            b.insert_id(SourceId(2));
-            b.insert_id(SourceId(1));
-            a.union_with_set(&b);
-            (
-                a.card(),
-                a.contains_id(SourceId(2)),
-                a.contains_id(SourceId(9)),
-            )
-        }
-        assert_eq!(exercise::<SourceSet>(), (3, true, false));
-        assert_eq!(exercise::<SortedVecSet>(), (3, true, false));
-        assert_eq!(exercise::<BTreeTagSet>(), (3, true, false));
     }
 }

@@ -53,7 +53,6 @@
 //! it.
 
 use polygen_catalog::dictionary::DataDictionary;
-use polygen_core::batch::ColumnBatch;
 use polygen_core::relation::PolygenRelation;
 use polygen_flat::error::FlatError;
 use polygen_flat::value::{Cmp, Value};
@@ -537,16 +536,6 @@ impl SourceIndex {
             .expect("probed tuples share the base schema")
     }
 
-    /// Execute a probe straight into a columnar batch: the matching
-    /// base tuples gathered at their scan ordinals, which the batch
-    /// records in its ordinal column. Emitting the batch unchanged is
-    /// byte-identical to [`SourceIndex::probe_relation`]; the executor
-    /// uses this to hand probe results to the batch filter kernels
-    /// without a row-stream detour.
-    pub fn probe_batch(&self, probe: &Probe) -> ColumnBatch {
-        ColumnBatch::gather(&self.base, &self.probe_ordinals(probe))
-    }
-
     /// The materialized tagged base (a full-scan equivalent).
     pub fn base(&self) -> &PolygenRelation {
         &self.base
@@ -701,22 +690,6 @@ mod tests {
                 probed.tuples(),
                 scanned.tuples(),
                 "probe for {deg} must be byte-identical, order included"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_probe_is_byte_identical_to_relation_probe() {
-        let (reg, dict) = mit();
-        let idx = SourceIndex::build(IndexSpec::hash("AD", "ALUMNUS", "DEG"), &reg, &dict).unwrap();
-        for deg in ["MBA", "MS", "PhD", "NOPE"] {
-            let probe = Probe::Point(Value::str(deg));
-            let batch = idx.probe_batch(&probe);
-            assert_eq!(batch.ordinals(), idx.probe_ordinals(&probe).as_slice());
-            assert_eq!(
-                batch.into_relation().tuples(),
-                idx.probe_relation(&probe).tuples(),
-                "batch probe for {deg} must be byte-identical to the relation probe"
             );
         }
     }

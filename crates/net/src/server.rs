@@ -40,11 +40,12 @@ use crate::protocol::{
 use crate::sys::{self, AsSockId, Event, Interest, Poller, WakeReceiver, Waker};
 use polygen_obs::session::SessionStats;
 use polygen_obs::trace::Trace;
-use polygen_serve::request::Request;
+use polygen_serve::request::{ErrorCode, Request, Response};
 use polygen_serve::service::QueryService;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -322,6 +323,12 @@ struct Completion {
 /// parse/plan/execute waterfall under `execute_traced`, and the
 /// recorder rides the completion so the poller can close the loop with
 /// `net/flush` once the response drains.
+///
+/// A query that panics (a buggy source adapter, say) answers its own
+/// session with an `Internal` error and leaves the worker running: the
+/// completion still goes back, so the connection resumes reading and
+/// shutdown has nothing left to wait for. Its half-recorded trace is
+/// dropped rather than fed to the slow-query log.
 fn worker_loop(
     service: Arc<QueryService>,
     stop: Arc<AtomicBool>,
@@ -345,7 +352,7 @@ fn worker_loop(
         } else {
             Trace::disabled()
         };
-        let in_flight = trace.is_enabled().then(|| {
+        let mut in_flight = trace.is_enabled().then(|| {
             let picked = Instant::now();
             trace.record_closed("net/decode", job.decode_start, job.decode_done);
             trace.record_closed("net/queue", job.decode_done, picked);
@@ -357,7 +364,21 @@ fn worker_loop(
         });
         job.stats
             .begin_query(&job.request.text, job.request.lang.label());
-        let response = service.execute_traced(job.request, &trace);
+        let response = panic::catch_unwind(AssertUnwindSafe(|| {
+            service.execute_traced(job.request, &trace)
+        }))
+        .unwrap_or_else(|payload| {
+            in_flight = None;
+            let reason = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("unknown panic");
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("query panicked: {reason}"),
+            }
+        });
         let rows = response.rows().map_or(0, |r| r.len() as u64);
         job.stats
             .finish_query(rows, response.error_code().is_some());

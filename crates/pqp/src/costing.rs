@@ -25,11 +25,6 @@ const RESTRICT_SELECTIVITY: f64 = 0.3;
 const JOIN_FANOUT: f64 = 1.0;
 /// PQP-side per-input-tuple CPU cost, µs.
 const PQP_TUPLE_US: f64 = 1.0;
-/// Per-input-tuple CPU cost of a batch-eligible pipeline, µs: the
-/// columnar kernels compare one typed column per predicate and only
-/// shrink a selection vector — no per-row dispatch, no cell clones, no
-/// per-stage retagging — so they are charged well under the row rate.
-const BATCH_TUPLE_US: f64 = 0.2;
 /// Per-tuple overhead of partition-parallel execution, µs: the
 /// repartition pass over the input plus the order-restoring merge over
 /// the output (both pointer traffic, far cheaper than the kernel work).
@@ -46,16 +41,11 @@ const INDEX_POINT_SELECTIVITY: f64 = 0.01;
 /// serial operator inspects every tuple on one worker; a partitioned one
 /// splits the inspection across its partitions but pays the repartition
 /// and order-restoring merge overhead on top.
-fn partitioned_cpu_cost(
-    inspected: f64,
-    out_rows: f64,
-    partitioning: &Partitioning,
-    tuple_us: f64,
-) -> f64 {
+fn partitioned_cpu_cost(inspected: f64, out_rows: f64, partitioning: &Partitioning) -> f64 {
     match partitioning {
-        Partitioning::Serial => inspected * tuple_us,
+        Partitioning::Serial => inspected * PQP_TUPLE_US,
         Partitioning::Chunked { partitions } | Partitioning::Hash { partitions, .. } => {
-            inspected * tuple_us / (*partitions).max(1) as f64
+            inspected * PQP_TUPLE_US / (*partitions).max(1) as f64
                 + (inspected + out_rows) * PARTITION_US
         }
     }
@@ -125,7 +115,7 @@ pub fn estimate_physical(plan: &PhysicalPlan, registry: &LqpRegistry) -> PlanCos
     let mut rows = Vec::with_capacity(plan.nodes.len());
     let mut total = 0.0;
     let mut shipped = 0.0;
-    for (i, node) in plan.nodes.iter().enumerate() {
+    for node in &plan.nodes {
         let (inspected, out_rows) = match &node.op {
             PhysOp::Scan { db, op } => {
                 // LQP-shipped work is priced by the LQP's cost model,
@@ -215,14 +205,7 @@ pub fn estimate_physical(plan: &PhysicalPlan, registry: &LqpRegistry) -> PlanCos
                 (l * r, l * r)
             }
         };
-        // Batch-eligible pipelines run the columnar kernels; everything
-        // else pays the row engine's per-tuple rate.
-        let tuple_us = if plan.is_batch_pipeline(i) {
-            BATCH_TUPLE_US
-        } else {
-            PQP_TUPLE_US
-        };
-        let cost = partitioned_cpu_cost(inspected, out_rows, &node.partitioning, tuple_us);
+        let cost = partitioned_cpu_cost(inspected, out_rows, &node.partitioning);
         est.push(out_rows);
         rows.push((node.row, cost, out_rows));
         total += cost;

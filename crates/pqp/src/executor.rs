@@ -30,7 +30,6 @@ use crate::plan::{self, LowerOptions, PhysOp, PhysicalPlan, StageKind};
 use crate::pom::{Op, RelRef, Rha};
 use polygen_catalog::dictionary::DataDictionary;
 use polygen_core::algebra::{self, coalesce::ConflictPolicy};
-use polygen_core::batch::{default_batch_enabled, ColumnBatch};
 use polygen_core::relation::PolygenRelation;
 use polygen_core::stream::{
     concat_streams, restrict_tuples, scoped_map, select_tuples, ParallelOptions, Partitioner,
@@ -38,7 +37,7 @@ use polygen_core::stream::{
 };
 use polygen_core::tuple::PolyTuple;
 use polygen_flat::schema::Schema;
-use polygen_flat::value::{Cmp, Value};
+use polygen_flat::value::Cmp;
 use polygen_index::IndexCatalog;
 use polygen_lqp::engine::LocalOp;
 use polygen_lqp::registry::LqpRegistry;
@@ -76,17 +75,11 @@ pub struct ExecOptions {
     /// the thread count; larger values over-partition, which rebalances
     /// key-skewed loads across the workers.
     pub partitions: usize,
-    /// Columnar batch execution for eligible pipelines (fused
-    /// Select/Restrict/Project chains over single-consumer leaves).
-    /// `None` = auto: the `POLYGEN_BATCH` environment variable, on
-    /// unless set to `0`/`false`/`off`/`no`. `Some(_)` forces the batch
-    /// or row engine. Results are byte-identical on every setting.
-    pub batch: Option<bool>,
     /// Span recorder. Disabled (the default) every span site is one
     /// branch; enabled, the executor records one span per physical
-    /// node — operator kind, output rows, partition count, and which
-    /// kernel (batch vs row) a pipeline took. Spans observe, never
-    /// steer: results are byte-identical with tracing on or off.
+    /// node — operator kind, output rows and partition count. Spans
+    /// observe, never steer: results are byte-identical with tracing
+    /// on or off.
     pub trace: Trace,
 }
 
@@ -102,11 +95,6 @@ impl ExecOptions {
     /// The resolved parallelism (0-valued knobs filled in).
     pub fn parallelism(&self) -> ParallelOptions {
         ParallelOptions::resolved(self.threads, self.partitions)
-    }
-
-    /// Is the columnar batch path enabled under these options?
-    pub fn batch_enabled(&self) -> bool {
-        self.batch.unwrap_or_else(default_batch_enabled)
     }
 }
 
@@ -197,13 +185,10 @@ fn apply_stage_owned(
 /// (dropped tuples are never wrapped), and joins/merges take the
 /// relation without a stream round trip. Everything shared between
 /// consumers — and every interior node — flows as a [`Slot::Stream`] of
-/// `Arc`-shared tuples, exactly as before. Single-consumer index probes
-/// under the columnar engine hand over a [`Slot::Batch`] so a consuming
-/// pipeline runs the batch kernels with no relation round trip.
+/// `Arc`-shared tuples.
 enum Slot {
     Stream(TupleStream),
     Rel(PolygenRelation),
-    Batch(ColumnBatch),
 }
 
 impl Slot {
@@ -211,7 +196,6 @@ impl Slot {
         match self {
             Slot::Stream(s) => s.schema(),
             Slot::Rel(r) => r.schema(),
-            Slot::Batch(b) => b.schema(),
         }
     }
 
@@ -220,7 +204,6 @@ impl Slot {
         match self {
             Slot::Stream(s) => s.len(),
             Slot::Rel(r) => r.len(),
-            Slot::Batch(b) => b.len(),
         }
     }
 
@@ -228,7 +211,6 @@ impl Slot {
         match self {
             Slot::Stream(s) => s.into_relation(),
             Slot::Rel(r) => r,
-            Slot::Batch(b) => b.into_relation(),
         }
     }
 
@@ -236,87 +218,8 @@ impl Slot {
         match self {
             Slot::Stream(s) => s.to_relation(),
             Slot::Rel(r) => r.clone(),
-            Slot::Batch(b) => b.clone().into_relation(),
         }
     }
-}
-
-/// Run a batch-eligible stage chain on the columnar kernels. Returns
-/// whether a Project ran, in which case emission must collapse
-/// duplicates (the batch defers that to [`emit_batch`] so chunked runs
-/// collapse once, globally).
-fn run_batch_stages(batch: &mut ColumnBatch, stages: &[plan::Stage]) -> Result<bool, PqpError> {
-    let mut projected = false;
-    for stage in stages {
-        match &stage.kind {
-            StageKind::Select { attr, cmp, value } => batch.select(attr, *cmp, value)?,
-            StageKind::Restrict { x, cmp, y } => batch.restrict(x, *cmp, y)?,
-            StageKind::Project { cols, output } => {
-                let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-                batch.project(&refs)?;
-                if output != cols {
-                    let names: Vec<&str> = output.iter().map(String::as_str).collect();
-                    batch.rename(&names)?;
-                }
-                projected = true;
-            }
-        }
-    }
-    Ok(projected)
-}
-
-/// Emit a filtered batch as a stream: the late tags materialize once
-/// per surviving row, then the projection's duplicate collapse (if one
-/// ran) applies — exactly the row engine's Project semantics.
-fn emit_batch(batch: ColumnBatch, projected: bool) -> TupleStream {
-    let mut rel = batch.into_relation();
-    if projected {
-        rel.merge_duplicates();
-    }
-    TupleStream::from_relation(rel)
-}
-
-/// The columnar pipeline over an un-lifted leaf relation. Parallel runs
-/// chunk the tuples contiguously, run the batch kernels per chunk on
-/// scoped workers, and splice the emissions back in chunk order before
-/// a single global duplicate collapse — byte-identical to the
-/// sequential batch (and row) walk.
-fn batch_pipeline(
-    rel: PolygenRelation,
-    stages: &[plan::Stage],
-    par: &ParallelOptions,
-) -> Result<TupleStream, PqpError> {
-    if !par.is_parallel() || rel.len() < PARALLEL_MIN_TUPLES {
-        let mut batch = ColumnBatch::from_relation(rel);
-        let projected = run_batch_stages(&mut batch, stages)?;
-        return Ok(emit_batch(batch, projected));
-    }
-    let schema = Arc::clone(rel.schema());
-    let chunks = Partitioner::new(par.partitions).chunk_vec(rel.into_tuples());
-    let processed = scoped_map(chunks, par.threads, |_, chunk| {
-        let mut batch = ColumnBatch::from_parts(Arc::clone(&schema), chunk);
-        let projected = run_batch_stages(&mut batch, stages)?;
-        Ok::<_, PqpError>((batch.into_relation(), projected))
-    });
-    let mut out_schema = None;
-    let mut tuples: Vec<PolyTuple> = Vec::new();
-    let mut projected = false;
-    for p in processed {
-        let (chunk_rel, chunk_projected) = p?;
-        projected = chunk_projected;
-        if out_schema.is_none() {
-            out_schema = Some(Arc::clone(chunk_rel.schema()));
-        }
-        tuples.extend(chunk_rel.into_tuples());
-    }
-    let mut out = PolygenRelation::from_tuples(
-        out_schema.expect("chunk_vec yields at least one chunk"),
-        tuples,
-    )?;
-    if projected {
-        out.merge_duplicates();
-    }
-    Ok(TupleStream::from_relation(out))
 }
 
 /// Lift a leaf relation into a stream, applying the tuple-local stage
@@ -435,7 +338,6 @@ pub fn execute_plan_indexed(
             match slots[i].as_ref().expect("plan is topologically ordered") {
                 Slot::Stream(s) => Slot::Stream(s.clone()),
                 Slot::Rel(_) => unreachable!("un-lifted leaves have exactly one consumer"),
-                Slot::Batch(_) => unreachable!("batch probes have exactly one consumer"),
             }
         }
     };
@@ -470,109 +372,63 @@ pub fn execute_plan_indexed(
                              {db}.{relation}.{column}; recompile against the current catalog"
                             ),
                         })?;
-                // A single-consumer probe under the columnar engine
-                // hands its ordinals over in batch form; a consuming
-                // pipeline runs the batch kernels directly, and any
-                // other consumer materializes the probe relation
-                // byte-identically. Shared or retained probes stay row
-                // streams.
-                if options.batch_enabled() && !options.retain_intermediates && remaining[i] == 1 {
-                    Slot::Batch(index.probe_batch(probe))
-                } else {
-                    lazy_leaf(index.probe_relation(probe), remaining[i])
-                }
+                lazy_leaf(index.probe_relation(probe), remaining[i])
             }
             PhysOp::Pipeline { input, stages } => {
-                // Columnar fast path: a batch-eligible stage chain over
-                // an un-lifted leaf (or an index probe already in batch
-                // form) runs on the ColumnBatch kernels with late tag
-                // materialization. Shared/interior inputs and retention
-                // mode (which records per-stage tables) keep the row
-                // walk below.
-                let batch_ok = options.batch_enabled()
-                    && !options.retain_intermediates
-                    && plan::batch_eligible_stages(stages);
-                match take(&mut slots, &mut remaining, *input) {
-                    Slot::Rel(rel) if batch_ok => {
-                        if !span.is_none() {
-                            options.trace.annotate(span, "kernel", Note::str("batch"));
-                        }
-                        Slot::Stream(batch_pipeline(rel, stages, &par)?)
-                    }
-                    Slot::Batch(mut batch) if batch_ok => {
-                        if !span.is_none() {
-                            options.trace.annotate(span, "kernel", Note::str("batch"));
-                        }
-                        let projected = run_batch_stages(&mut batch, stages)?;
-                        Slot::Stream(emit_batch(batch, projected))
-                    }
-                    input_slot => {
-                        if !span.is_none() {
-                            options.trace.annotate(span, "kernel", Note::str("row"));
-                        }
-                        // Tuple-local prefix (cut at the first Project, whose
-                        // duplicate collapse is a whole-stream operation), then
-                        // the rest on the much smaller stream. Retention mode
-                        // records every stage, so it keeps the all-stream walk.
-                        let cut = if options.retain_intermediates {
-                            0
-                        } else {
-                            stages
-                                .iter()
-                                .position(|st| matches!(st.kind, StageKind::Project { .. }))
-                                .unwrap_or(stages.len())
-                        };
-                        let (prefix, rest) = stages.split_at(cut);
-                        let mut s = match input_slot {
-                            // Lazy handoff: the leaf's owned tuples filter
-                            // before any Arc-wrapping (IndexScan and Scan share
-                            // this entry path).
-                            Slot::Rel(rel) => lift_filtered(rel, prefix, &par)?,
-                            // A batch probe whose stage chain turned out row-only
-                            // re-materializes first (byte-identical to probing
-                            // the relation directly).
-                            Slot::Batch(b) => lift_filtered(b.into_relation(), prefix, &par)?,
-                            Slot::Stream(mut s) => {
-                                if par.is_parallel()
-                                    && !prefix.is_empty()
-                                    && s.len() >= PARALLEL_MIN_TUPLES
-                                {
-                                    // Chunk-parallel prefix over shared tuples:
-                                    // contiguous chunks run on scoped workers and
-                                    // concatenate back in input order —
-                                    // byte-identical to the sequential walk.
-                                    let chunks = Partitioner::new(par.partitions).chunk_stream(s);
-                                    let processed =
-                                        scoped_map(chunks, par.threads, |_, mut chunk| {
-                                            for stage in prefix {
-                                                apply_stage(&mut chunk, &stage.kind)?;
-                                            }
-                                            Ok::<_, PqpError>(chunk)
-                                        });
-                                    let mut parts = Vec::with_capacity(processed.len());
-                                    for p in processed {
-                                        parts.push(p?);
-                                    }
-                                    s = concat_streams(parts).expect("at least one chunk");
-                                } else {
-                                    for stage in prefix {
-                                        apply_stage(&mut s, &stage.kind)?;
-                                    }
+                // Tuple-local prefix (cut at the first Project, whose
+                // duplicate collapse is a whole-stream operation), then
+                // the rest on the much smaller stream. Retention mode
+                // records every stage, so it keeps the all-stream walk.
+                let cut = if options.retain_intermediates {
+                    0
+                } else {
+                    stages
+                        .iter()
+                        .position(|st| matches!(st.kind, StageKind::Project { .. }))
+                        .unwrap_or(stages.len())
+                };
+                let (prefix, rest) = stages.split_at(cut);
+                let mut s = match take(&mut slots, &mut remaining, *input) {
+                    // Lazy handoff: the leaf's owned tuples filter
+                    // before any Arc-wrapping (IndexScan and Scan share
+                    // this entry path).
+                    Slot::Rel(rel) => lift_filtered(rel, prefix, &par)?,
+                    Slot::Stream(mut s) => {
+                        if par.is_parallel() && !prefix.is_empty() && s.len() >= PARALLEL_MIN_TUPLES
+                        {
+                            // Chunk-parallel prefix over shared tuples:
+                            // contiguous chunks run on scoped workers and
+                            // concatenate back in input order —
+                            // byte-identical to the sequential walk.
+                            let chunks = Partitioner::new(par.partitions).chunk_stream(s);
+                            let processed = scoped_map(chunks, par.threads, |_, mut chunk| {
+                                for stage in prefix {
+                                    apply_stage(&mut chunk, &stage.kind)?;
                                 }
-                                s
+                                Ok::<_, PqpError>(chunk)
+                            });
+                            let mut parts = Vec::with_capacity(processed.len());
+                            for p in processed {
+                                parts.push(p?);
                             }
-                        };
-                        for stage in rest {
-                            apply_stage(&mut s, &stage.kind)?;
-                            // Per-stage retention keeps the trace complete even
-                            // when the caller hands us a *fused* plan.
-                            if options.retain_intermediates {
-                                results.insert(stage.row, s.to_relation());
+                            s = concat_streams(parts).expect("at least one chunk");
+                        } else {
+                            for stage in prefix {
+                                apply_stage(&mut s, &stage.kind)?;
                             }
                         }
-                        Slot::Stream(s)
+                        s
+                    }
+                };
+                for stage in rest {
+                    apply_stage(&mut s, &stage.kind)?;
+                    // Per-stage retention keeps the trace complete even
+                    // when the caller hands us a *fused* plan.
+                    if options.retain_intermediates {
+                        results.insert(stage.row, s.to_relation());
                     }
                 }
+                Slot::Stream(s)
             }
             PhysOp::HashJoin {
                 left,
@@ -616,7 +472,6 @@ pub fn execute_plan_indexed(
                     // cell copies.
                     let relabeled = match take(&mut slots, &mut remaining, *idx) {
                         Slot::Rel(rel) => rel.into_renamed_attrs(&refs)?,
-                        Slot::Batch(b) => b.into_relation().into_renamed_attrs(&refs)?,
                         Slot::Stream(mut s) => {
                             s.rename(&refs)?;
                             s.into_relation()
@@ -1050,18 +905,13 @@ pub fn execute_eager(
     Ok((final_rel, ExecutionTrace { results: ex.env }))
 }
 
-/// Convenience: keep `Value` reachable for doc examples in this module.
-#[doc(hidden)]
-pub fn _doc_value(v: Value) -> Value {
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyzer::analyze;
     use crate::interpreter::interpret;
     use polygen_catalog::scenario;
+    use polygen_flat::value::Value;
     use polygen_lqp::scenario_registry;
     use polygen_sql::algebra_expr::parse_algebra;
 

@@ -309,35 +309,6 @@ impl PhysicalPlan {
             .count()
     }
 
-    /// Would the executor run node `i` on the columnar batch kernels
-    /// (when batching is enabled and no trace is retained)? True for a
-    /// pipeline with batch-eligible stages over a single-consumer
-    /// Scan/IndexScan leaf — exactly the shape the executor lifts into
-    /// a `ColumnBatch` instead of a row stream. EXPLAIN renders these
-    /// nodes with a `[batch]` marker; everything else stays on the row
-    /// engine.
-    pub fn is_batch_pipeline(&self, i: usize) -> bool {
-        let PhysOp::Pipeline { input, stages } = &self.nodes[i].op else {
-            return false;
-        };
-        if !matches!(
-            self.nodes[*input].op,
-            PhysOp::Scan { .. } | PhysOp::IndexScan { .. }
-        ) || !batch_eligible_stages(stages)
-        {
-            return false;
-        }
-        // Shared leaves stay row streams (their tuples fan out to other
-        // consumers), so only a single-consumer leaf feeds the batch path.
-        let consumers = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.op.inputs())
-            .filter(|&j| j == *input)
-            .count();
-        consumers == 1
-    }
-
     /// A deterministic structural fingerprint: FNV-1a over the rendered
     /// operator tree plus every node's planned output schema. Two plans
     /// with the same fingerprint execute the same scans, stages,
@@ -367,19 +338,6 @@ impl PhysicalPlan {
         eat(&self.root.to_le_bytes());
         hash
     }
-}
-
-/// Can a stage list run on the columnar batch kernels? Any number of
-/// Selects/Restricts, with Project only as the final stage — the batch
-/// projects by column-pointer swap and collapses duplicates once at
-/// emission, which is only equivalent to the row engine when nothing
-/// filters after the projection.
-pub fn batch_eligible_stages(stages: &[Stage]) -> bool {
-    !stages.is_empty()
-        && stages.iter().enumerate().all(|(i, s)| match s.kind {
-            StageKind::Select { .. } | StageKind::Restrict { .. } => true,
-            StageKind::Project { .. } => i + 1 == stages.len(),
-        })
 }
 
 /// Lowering knobs.
@@ -1280,13 +1238,8 @@ pub fn render_plan(plan: &PhysicalPlan) -> String {
             Partitioning::Chunked { partitions } => format!(" [chunked x{partitions}]"),
             Partitioning::Hash { key, partitions } => format!(" [hash({key}) x{partitions}]"),
         };
-        let batch = if plan.is_batch_pipeline(i) {
-            " [batch]"
-        } else {
-            ""
-        };
         let marker = if i == plan.root { " ◀ answer" } else { "" };
-        let _ = writeln!(out, "#{i:<2} {desc}{batch}{par}  → R({}){marker}", node.row);
+        let _ = writeln!(out, "#{i:<2} {desc}{par}  → R({}){marker}", node.row);
     }
     out
 }

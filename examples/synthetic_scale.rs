@@ -61,7 +61,8 @@ fn main() {
     }
 
     // Tag growth: a merged key cell in a K-source federation carries up
-    // to K origins — the cost the sourceset_repr bench quantifies.
+    // to K origins — the case the inline bitset `SourceSet` is sized for
+    // (DESIGN.md, "Tag-set representation").
     println!("\ntag width in the merged PENTITY key column:");
     for sources in [2usize, 8, 32] {
         let config = WorkloadConfig::default()

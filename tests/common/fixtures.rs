@@ -82,7 +82,6 @@ pub fn assert_parallel_matches(
         retain_intermediates: retain,
         threads,
         partitions: threads,
-        batch: None,
         ..ExecOptions::default()
     };
     let eager = execute_eager(&iom, &registry, &scenario.dictionary, opts(1, false));
@@ -153,63 +152,6 @@ pub fn assert_parallel_matches(
 /// the pre-parallel differential contract.
 pub fn assert_engines_agree(scenario: &Scenario, expr: &str, policy: ConflictPolicy) {
     assert_parallel_matches(scenario, expr, policy, 1);
-}
-
-/// Run one expression with the columnar batch engine forced on, the row
-/// engine forced off, and the eager reference, at `threads` workers, and
-/// assert the batch run is byte-identical to the row run (data, tags
-/// *and* tuple order) and tag-set-equal to the eager reference.
-/// Rejections must agree in error kind across all three.
-pub fn assert_batch_matches(
-    scenario: &Scenario,
-    expr: &str,
-    policy: ConflictPolicy,
-    threads: usize,
-) {
-    let registry = polygen::lqp::scenario_registry(scenario);
-    let iom = compile(expr, scenario.dictionary.schema());
-    let opts = |batch: Option<bool>| ExecOptions {
-        conflict_policy: policy,
-        retain_intermediates: false,
-        threads,
-        partitions: threads,
-        batch,
-        ..ExecOptions::default()
-    };
-    let eager = execute_eager(&iom, &registry, &scenario.dictionary, opts(None));
-    let row = execute(&iom, &registry, &scenario.dictionary, opts(Some(false)));
-    let batch = execute(&iom, &registry, &scenario.dictionary, opts(Some(true)));
-    match (eager, row, batch) {
-        (Ok((eager, _)), Ok((row, _)), Ok((batch, _))) => {
-            assert!(
-                eager.tagged_set_eq(&batch),
-                "eager vs batch({threads}) diverge on `{expr}`:\n eager: {} rows\n batch: {} rows",
-                eager.len(),
-                batch.len()
-            );
-            assert_eq!(
-                row.tuples(),
-                batch.tuples(),
-                "batch({threads}) is not byte-identical to the row engine on `{expr}`"
-            );
-        }
-        (Err(ee), Err(re), Err(be)) => {
-            assert!(
-                same_error_kind(&ee, &re),
-                "eager and row engine reject `{expr}` differently:\n eager: {ee}\n row: {re}"
-            );
-            assert!(
-                same_error_kind(&ee, &be),
-                "eager and batch({threads}) reject `{expr}` differently:\n eager: {ee}\n batch: {be}"
-            );
-        }
-        (eager, row, batch) => panic!(
-            "engines disagree on success for `{expr}` (threads = {threads}):\n eager: {}\n row: {}\n batch: {}",
-            outcome(&eager),
-            outcome(&row),
-            outcome(&batch)
-        ),
-    }
 }
 
 fn outcome<T>(r: &Result<T, PqpError>) -> String {

@@ -274,36 +274,7 @@ fn between_folds_into_a_range_probe_with_residual() {
         &plan,
         "\
 #0  IndexScan[AD] ALUMNUS [ixscan 200 <= AD.AID# <= 600] (sorted)  → R(1)
-#1  Pipeline over R(1) → Select[AID# <= 600]@R(2) [batch]  → R(2) ◀ answer",
-    );
-}
-
-/// Columnar annotation, chosen: a stage chain directly over a
-/// lone-consumer Scan leaf is batch-eligible (the restrict itself folds
-/// into the scan descriptor, the trailing Project runs columnar), and
-/// EXPLAIN says so with `[batch]`. The marker is plan-shape only —
-/// `POLYGEN_BATCH=0` still runs such a plan on the row engine.
-#[test]
-fn eligible_leaf_pipeline_announces_batch() {
-    assert_snapshot(
-        &plan_text("PCAREER [AID# = ONAME] [AID#, POSITION]", true, 1),
-        "\
-#0  Scan[AD] CAREER[AID# = BNAME]  → R(1)
-#1  Pipeline over R(1) → Project[AID#, POSITION]@R(2) [batch]  → R(2) ◀ answer",
-    );
-}
-
-/// Columnar annotation, rejected: the paper plan's final pipeline reads
-/// a HashJoin (an interior node, already `Arc`-shared streams), so it
-/// stays on the row engine and renders without the `[batch]` marker —
-/// see `paper_plan_fused_serial` above. The same holds for every
-/// unfused (retention-mode) stage chain.
-#[test]
-fn interior_pipeline_stays_on_the_row_engine() {
-    let shown = plan_text(PAPER_EXPRESSION, true, 1);
-    assert!(
-        !shown.contains("[batch]"),
-        "interior pipelines must not claim the columnar path:\n{shown}"
+#1  Pipeline over R(1) → Select[AID# <= 600]@R(2)  → R(2) ◀ answer",
     );
 }
 

@@ -1,174 +1,28 @@
-//! Differential property tests for columnar batch execution with late
-//! tag materialization.
+//! Differential tests for the shapes at the edges of a leaf pipeline:
+//! set operations over shared leaves, the θ fallback, lone projects,
+//! empty results, and pipelines fed by index-routed probes.
 //!
-//! The guarantee under test: **the batch engine is invisible**. For
-//! random federations, policies and thread counts, a plan whose eligible
-//! pipelines run on `ColumnBatch` kernels must produce output
-//! *byte-identical* — data, origin tags, intermediate tags, and tuple
-//! order — to the row engine forced on the same plan, and tag-set-equal
-//! to the eager reference interpreter; rejections must agree in error
-//! kind. The same holds through index-routed probes (batch ordinals)
-//! and across a mid-run source update in the serving layer.
-//!
-//! CI runs the whole test suite under `POLYGEN_BATCH=0` and `=1` (and
-//! `POLYGEN_THREADS=1`/`=4`); this suite additionally forces both
-//! engines explicitly so every leg diffs them against each other.
+//! The guarantee under test: the physical pipeline engine is invisible.
+//! Its answers — data, origin tags, intermediate tags and tuple order —
+//! match the eager reference interpreter and stay byte-identical across
+//! thread counts, and index routing never changes a byte of them.
 
 mod common;
 
-use common::fixtures::{assert_batch_matches, conflicted_config, small_config};
+use common::fixtures::{assert_parallel_matches, small_config};
 use polygen::catalog::prelude::scenario;
 use polygen::core::algebra::coalesce::ConflictPolicy;
-use polygen::core::batch::ColumnBatch;
-use polygen::core::stream::TupleStream;
-use polygen::core::{Cell, PolygenRelation, SourceId};
-use polygen::flat::value::Cmp;
-use polygen::flat::{Schema, Value};
-use polygen::index::IndexSpec;
+use polygen::index::{IndexCatalog, IndexSpec};
 use polygen::pqp::prelude::*;
-use polygen::serve::prelude::*;
-use polygen::sql::prelude::PAPER_EXPRESSION;
+use polygen::workload;
 use polygen::workload::queries::{point_lookup, range_scan};
-use polygen::workload::{self, replay, ClientMix, MixWeights, QueryLang};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
-/// A three-column tagged relation with deliberately mixed value types:
-/// `K` drawn from a tiny space (Int, occasionally Float or nil, so
-/// typed columns fall back to the mixed representation), `V` always
-/// Int, `NAME` a short string. Every cell originates from `source`.
-fn mixed_relation(name: &str, source: u16, rows: &[(Option<i64>, i64, bool)]) -> PolygenRelation {
-    let schema = Arc::new(Schema::new(name, &["K", "V", "NAME"]).unwrap());
-    let tuples = rows
-        .iter()
-        .map(|(key, value, float_key)| {
-            let k = match key {
-                None => Value::Null,
-                Some(k) if *float_key => Value::float(*k as f64),
-                Some(k) => Value::int(*k),
-            };
-            vec![
-                Cell::retrieved(k, SourceId(source)),
-                Cell::retrieved(Value::int(*value), SourceId(source)),
-                Cell::retrieved(Value::str(format!("N{}", value % 4)), SourceId(source)),
-            ]
-        })
-        .collect();
-    PolygenRelation::from_tuples(schema, tuples).unwrap()
-}
-
-type MixedRows = Vec<(Option<i64>, i64, bool)>;
-
-fn mixed_rows() -> impl Strategy<Value = MixedRows> {
-    proptest::collection::vec(
-        (
-            prop_oneof![
-                (0i64..6).prop_map(Some),
-                (0i64..6).prop_map(Some),
-                (0i64..6).prop_map(Some),
-                Just(None),
-            ],
-            0i64..100,
-            prop_oneof![
-                Just(false),
-                Just(false),
-                Just(false),
-                Just(false),
-                Just(true)
-            ],
-        ),
-        0..16,
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Random expressions over random federations, across thread counts:
-    /// batch = row (byte-identical) = eager (tag-set-equal), or all
-    /// three reject with the same error kind.
-    #[test]
-    fn batch_matches_row_and_eager(
-        fed_seed in any::<u64>(),
-        query_seed in any::<u64>(),
-        depth in 1usize..4,
-        sources in 2usize..5,
-        tidx in 0usize..THREAD_COUNTS.len(),
-    ) {
-        // ≥ 64 entities so parallel legs chunk batches for real.
-        let config = small_config(fed_seed, sources, 64);
-        let sc = workload::generate(&config);
-        let expr = workload::queries::random_expression(&config, query_seed, depth);
-        assert_batch_matches(&sc, &expr.to_string(), ConflictPolicy::Strict, THREAD_COUNTS[tidx]);
-    }
-
-    /// Conflicting federations under every policy: batch pipelines feed
-    /// the merge exactly what the row engine would, and `Strict`
-    /// rejections agree in kind across all three engines.
-    #[test]
-    fn batch_agrees_under_conflict_policies(
-        fed_seed in any::<u64>(),
-        sources in 2usize..5,
-        policy_idx in 0usize..3,
-        tidx in 0usize..THREAD_COUNTS.len(),
-    ) {
-        let sc = workload::generate(&conflicted_config(fed_seed, sources, 64));
-        let policy = [
-            ConflictPolicy::Strict,
-            ConflictPolicy::PreferLeft,
-            ConflictPolicy::PreferRight,
-        ][policy_idx];
-        let threads = THREAD_COUNTS[tidx];
-        assert_batch_matches(&sc, "PENTITY [ENAME, CATEGORY]", policy, threads);
-        assert_batch_matches(&sc, "PENTITY [CATEGORY = \"C0\"]", policy, threads);
-    }
-
-    /// Kernel-level: a select→restrict→project chain on `ColumnBatch`
-    /// (late tags applied at emission, duplicates collapsed once) equals
-    /// the `TupleStream` walk (tags applied per stage) byte-for-byte on
-    /// arbitrary operands — nils, duplicate keys and Int/Float-mixed
-    /// columns included.
-    #[test]
-    fn batch_kernels_match_stream_kernels(
-        rows in mixed_rows(),
-        threshold in 0i64..100,
-        cmp_idx in 0usize..4,
-    ) {
-        let rel = mixed_relation("M", 0, &rows);
-        let cmp = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Ge][cmp_idx];
-
-        let mut stream = TupleStream::from_relation(rel.clone());
-        stream.select("V", cmp, &Value::int(threshold)).unwrap();
-        stream.restrict("K", Cmp::Le, "V").unwrap();
-        stream.project(&["NAME", "K"]).unwrap();
-        let row_out = stream.into_relation();
-
-        let mut batch = ColumnBatch::from_relation(rel);
-        batch.select("V", cmp, &Value::int(threshold)).unwrap();
-        batch.restrict("K", Cmp::Le, "V").unwrap();
-        batch.project(&["NAME", "K"]).unwrap();
-        let mut batch_out = batch.into_relation();
-        batch_out.merge_duplicates();
-
-        prop_assert_eq!(row_out.schema().attrs(), batch_out.schema().attrs());
-        prop_assert_eq!(row_out.tuples(), batch_out.tuples(), "order included");
-    }
-}
-
-/// The paper's own pipeline: batch = row = eager across thread counts.
-#[test]
-fn paper_query_is_identical_under_batch_execution() {
-    let s = scenario::build();
-    for threads in THREAD_COUNTS {
-        assert_batch_matches(&s, PAPER_EXPRESSION, ConflictPolicy::Strict, threads);
-    }
-}
-
-/// Shapes around the batch path's edges: shared leaves (both engines
-/// must fall back identically), set operations, θ fallback, lone
-/// projects, and empty results.
+/// Shapes around a leaf pipeline's edges: shared leaves, set
+/// operations, θ fallback, lone projects, and empty results — eager,
+/// sequential and parallel engines agree on each.
 #[test]
 fn edge_shapes_agree_under_batch_execution() {
     let s = scenario::build();
@@ -182,14 +36,14 @@ fn edge_shapes_agree_under_batch_execution() {
         "PALUMNUS [ANAME]",
     ] {
         for threads in THREAD_COUNTS {
-            assert_batch_matches(&s, expr, ConflictPolicy::Strict, threads);
+            assert_parallel_matches(&s, expr, ConflictPolicy::Strict, threads);
         }
     }
 }
 
-/// Index-routed plans under the batch engine: the probe hands the
-/// pipeline a gathered batch (ordinals, not a relation), and the answer
-/// stays byte-identical to the row engine over the same routed plan.
+/// Index-routed plans: the probe hands the pipeline the matching base
+/// rows, and the answer stays byte-identical to the unrouted scan over
+/// the same federation, sequentially and partition-parallel.
 #[test]
 fn indexed_probes_feed_batches_byte_identically() {
     let config = small_config(0xbead, 3, 120);
@@ -199,17 +53,17 @@ fn indexed_probes_feed_batches_byte_identically() {
         IndexSpec::sorted("S0", "DETAIL", "DSCORE"),
     ];
     for threads in THREAD_COUNTS {
-        let mk = |batch: bool| {
-            let pqp = Pqp::for_scenario(&scenario).with_options(
-                PqpOptions::default()
-                    .with_threads(threads)
-                    .with_batch(batch),
-            );
+        let mk = |indexed: bool| {
+            let pqp = Pqp::for_scenario(&scenario)
+                .with_options(PqpOptions::default().with_threads(threads));
+            if !indexed {
+                return pqp;
+            }
             let catalog =
                 Arc::new(IndexCatalog::build(&specs, pqp.registry(), pqp.dictionary()).unwrap());
             pqp.with_indexes(catalog)
         };
-        let (row, batch) = (mk(false), mk(true));
+        let (plain, routed) = (mk(false), mk(true));
         for expr in [
             point_lookup(17),
             point_lookup(9_999_999),
@@ -217,8 +71,9 @@ fn indexed_probes_feed_batches_byte_identically() {
             range_scan(60, 20),
             "PDETAIL [SCORE >= 30] [ENAME, SCORE]".to_string(),
         ] {
-            let a = row.query_algebra(&expr).unwrap();
-            let b = batch.query_algebra(&expr).unwrap();
+            let a = plain.query_algebra(&expr).unwrap();
+            let b = routed.query_algebra(&expr).unwrap();
+            assert_eq!(a.compiled.physical.index_scans(), 0);
             assert!(
                 b.compiled.physical.index_scans() > 0 || expr.contains(">= 30"),
                 "probe shapes must route: `{expr}`"
@@ -226,95 +81,8 @@ fn indexed_probes_feed_batches_byte_identically() {
             assert_eq!(
                 a.answer.tuples(),
                 b.answer.tuples(),
-                "batch diverged on routed `{expr}` (threads = {threads})"
+                "routed plan diverged on `{expr}` (threads = {threads})"
             );
-        }
-    }
-}
-
-/// Service-level: a batch-engine service returns byte-identical answers
-/// to a row-engine baseline across a mid-run source update (which swaps
-/// snapshots and rebuilds the updated source's indexes under it).
-#[test]
-fn batch_service_is_invisible_across_source_update() {
-    let config = small_config(0xcafe, 3, 96);
-    let scenario = workload::generate(&config);
-    let specs = [
-        IndexSpec::hash("S0", "DETAIL", "DNAME"),
-        IndexSpec::sorted("S0", "DETAIL", "DSCORE"),
-    ];
-    let batch = QueryService::for_scenario(
-        &scenario,
-        ServeOptions::default().with_pqp(PqpOptions::default().with_batch(true)),
-    )
-    .with_index_specs(&specs)
-    .unwrap();
-    let row = QueryService::for_scenario(
-        &scenario,
-        ServeOptions::default()
-            .without_caches()
-            .with_pqp(PqpOptions::default().with_batch(false)),
-    )
-    .with_index_specs(&specs)
-    .unwrap();
-    let mix = ClientMix::default()
-        .with_seed(0xfeed)
-        .with_clients(3)
-        .with_queries_per_client(6)
-        .with_entities(96)
-        .with_weights(MixWeights::with_index_lookups(6, 4));
-    // A deterministic upstream refresh: shift every DETAIL score.
-    let refreshed: Vec<_> = scenario
-        .database("S0")
-        .expect("S0 exists")
-        .relations
-        .iter()
-        .map(|rel| {
-            if rel.name() != "DETAIL" {
-                return rel.clone();
-            }
-            let attrs: Vec<&str> = rel.schema().attrs().iter().map(|a| a.as_ref()).collect();
-            let mut b = polygen::flat::relation::Relation::build(rel.name(), &attrs).key(&["DID"]);
-            for row in rel.rows() {
-                let mut row = row.clone();
-                if let Value::Int(v) = row[2] {
-                    row[2] = Value::int((v + 37).rem_euclid(100));
-                }
-                b = b.vrow(row);
-            }
-            b.finish().expect("refreshed DETAIL rebuilds")
-        })
-        .collect();
-    let serve = |service: &QueryService, q: &polygen::workload::ClientQuery| {
-        match q.lang {
-            QueryLang::Sql => service.query(&q.text),
-            QueryLang::Algebra => service.query_algebra(&q.text),
-        }
-        .unwrap_or_else(|e| panic!("query `{}` failed: {e}", q.text))
-        .answer
-    };
-    let batch_before = replay(&mix, |_, q| serve(&batch, q));
-    batch.update_source_relations("S0", refreshed.clone());
-    let batch_after = replay(&mix, |_, q| serve(&batch, q));
-
-    let row_before = replay(&mix, |_, q| serve(&row, q));
-    row.update_source_relations("S0", refreshed);
-    let row_after = replay(&mix, |_, q| serve(&row, q));
-
-    for (phase, (got, want)) in [
-        (batch_before.per_client, row_before.per_client),
-        (batch_after.per_client, row_after.per_client),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for (c, (cc, ss)) in got.iter().zip(&want).enumerate() {
-            for (i, (a, b)) in cc.iter().zip(ss).enumerate() {
-                assert_eq!(
-                    &**a, &**b,
-                    "phase {phase} client {c} query {i}: batch service diverged"
-                );
-            }
         }
     }
 }

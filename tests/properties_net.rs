@@ -23,10 +23,15 @@ use polygen::core::cell::Cell;
 use polygen::core::source::{SourceId, SourceSet};
 use polygen::flat::relation::Relation;
 use polygen::flat::value::Value;
+use polygen::flat::Schema;
+use polygen::lqp::prelude::{
+    Capabilities, CostModel, InMemoryLqp, LocalOp, Lqp, LqpError, RelStats,
+};
 use polygen::net::codec::CodecError;
 use polygen::net::prelude::*;
 use polygen::net::protocol::request_frame;
 use polygen::serve::prelude::*;
+use polygen::workload::queries::point_lookup;
 use polygen::workload::{self, ClientMix, MixWeights};
 use proptest::prelude::*;
 use std::io::Write;
@@ -296,6 +301,107 @@ fn error_codes_are_identical_over_the_wire() {
     let in_process =
         service.execute(Request::algebra("PENTITY [CATEGORY = \"C0\"]").with_explain(true));
     assert!(explained.payload_eq(&in_process), "plan text matches");
+    server.shutdown();
+}
+
+/// A source adapter with a bug: every read of its `DETAIL` relation
+/// panics. Everything else delegates to the wrapped LQP.
+struct PanicsOnDetail(InMemoryLqp);
+
+impl Lqp for PanicsOnDetail {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.0.capabilities()
+    }
+    fn cost_model(&self) -> CostModel {
+        self.0.cost_model()
+    }
+    fn relation_names(&self) -> Vec<String> {
+        self.0.relation_names()
+    }
+    fn schema_of(&self, relation: &str) -> Option<Arc<Schema>> {
+        self.0.schema_of(relation)
+    }
+    fn stats(&self, relation: &str) -> Option<RelStats> {
+        self.0.stats(relation)
+    }
+    fn execute(&self, op: &LocalOp) -> Result<Relation, LqpError> {
+        assert_ne!(op.relation, "DETAIL", "injected adapter fault");
+        self.0.execute(op)
+    }
+}
+
+/// Worker panic isolation: a query that panics inside a source adapter
+/// answers its own session with a structured `Internal` (309) frame and
+/// leaves the rest of the server alone. With a single worker, a panic
+/// that escaped would take the whole pool down; instead a second
+/// session's script stays byte-identical to a fault-free service, and
+/// the faulting session keeps serving too.
+#[test]
+fn a_panicking_query_fails_alone_and_keeps_its_worker() {
+    let scenario = workload::generate(&small_config(31, 3, 48));
+    let s0 = || {
+        let db = scenario.database("S0").expect("S0 exists");
+        InMemoryLqp::new("S0", db.relations.clone())
+    };
+    let faulty = Arc::new(QueryService::for_scenario(
+        &scenario,
+        ServeOptions::default(),
+    ));
+    faulty.update_source(Arc::new(PanicsOnDetail(s0())));
+    let clean = QueryService::for_scenario(&scenario, ServeOptions::default().without_caches());
+    clean.update_source(Arc::new(s0()));
+    let server = NetServer::spawn_with(
+        Arc::clone(&faulty),
+        "127.0.0.1:0",
+        NetServerOptions {
+            workers: 1,
+            ..NetServerOptions::default()
+        },
+    )
+    .expect("bind");
+    let (mut a, mut a_reader) = raw_session(server.addr());
+    let (mut b, mut b_reader) = raw_session(server.addr());
+    fn roundtrip(
+        stream: &mut TcpStream,
+        reader: &mut FrameReader,
+        request: &Request,
+    ) -> Vec<Frame> {
+        stream
+            .write_all(&request_frame(request).encode())
+            .expect("send");
+        read_response(stream, reader)
+    }
+    let fault = Request::algebra(point_lookup(3));
+    let script = [
+        Request::algebra("PENTITY [CATEGORY = \"C0\"]"),
+        Request::algebra("PENTITY [ENAME, CATEGORY]"),
+        Request::sql("SELECT ENAME FROM PENTITY WHERE CATEGORY = \"C1\""),
+    ];
+    for round in 0..2 {
+        let frames = roundtrip(&mut a, &mut a_reader, &fault);
+        assert!(
+            matches!(frames.as_slice(), [Frame::Error { code: 309, .. }]),
+            "round {round}: the faulting query must answer Internal, got {frames:?}"
+        );
+        for request in &script {
+            let want = deterministic_bytes(&response_frames(&clean.execute(request.clone())));
+            assert_eq!(
+                deterministic_bytes(&roundtrip(&mut b, &mut b_reader, request)),
+                want,
+                "round {round}: `{}` diverged on the other session",
+                request.text
+            );
+            assert_eq!(
+                deterministic_bytes(&roundtrip(&mut a, &mut a_reader, request)),
+                want,
+                "round {round}: the faulting session stopped serving `{}`",
+                request.text
+            );
+        }
+    }
     server.shutdown();
 }
 

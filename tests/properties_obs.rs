@@ -4,7 +4,7 @@
 //!
 //! * Executing with an enabled trace recorder must be byte-identical to
 //!   executing with a disabled one — same tuples, same order, same tags,
-//!   same rejections — across thread counts and both execution engines.
+//!   same rejections — across thread counts.
 //! * An enabled run's span tree must be well formed (every span closed,
 //!   parents enclosing children), with exactly one executor span per
 //!   physical node.
@@ -44,9 +44,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random expressions over random federations, executed with the
-    /// recorder off and on, across thread counts and both engines: the
-    /// answers must be byte-identical (tuple order included) and agree
-    /// with the eager reference; rejections must agree in error kind.
+    /// recorder off and on, across thread counts: the answers must be
+    /// byte-identical (tuple order included) and agree with the eager
+    /// reference; rejections must agree in error kind.
     /// The enabled run's span tree must be well formed every time.
     #[test]
     fn tracing_is_invisible_to_results(
@@ -61,61 +61,58 @@ proptest! {
         let registry = scenario_registry(&sc);
         let iom = compile(&expr.to_string(), sc.dictionary.schema());
         for threads in [1usize, 4] {
-            for batch in [false, true] {
-                let opts = |trace: Trace| ExecOptions {
-                    threads,
-                    partitions: threads,
-                    batch: Some(batch),
-                    trace,
-                    ..ExecOptions::default()
-                };
-                let eager =
-                    execute_eager(&iom, &registry, &sc.dictionary, opts(Trace::disabled()));
-                let off = execute(&iom, &registry, &sc.dictionary, opts(Trace::disabled()));
-                let recorder = Trace::enabled();
-                let on = execute(&iom, &registry, &sc.dictionary, opts(recorder.clone()));
-                match (eager, off, on) {
-                    (Ok((eager, _)), Ok((off, _)), Ok((on, _))) => {
-                        prop_assert_eq!(
-                            off.tuples(),
-                            on.tuples(),
-                            "tracing changed the answer for `{}` (threads={}, batch={})",
-                            expr, threads, batch
-                        );
-                        prop_assert!(
-                            eager.tagged_set_eq(&on),
-                            "traced run diverges from eager on `{}` (threads={}, batch={})",
-                            expr, threads, batch
-                        );
-                        let report = recorder.report().expect("enabled recorder reports");
-                        if let Err(e) = report.well_formed() {
-                            panic!(
-                                "malformed span tree for `{expr}` \
-                                 (threads={threads}, batch={batch}): {e}"
-                            );
-                        }
-                    }
-                    (Err(ee), Err(oe), Err(ne)) => {
-                        prop_assert!(
-                            same_error_kind(&oe, &ne),
-                            "tracing changed the rejection for `{}`: off {} vs on {}",
-                            expr, oe, ne
-                        );
-                        prop_assert!(
-                            same_error_kind(&ee, &ne),
-                            "traced rejection diverges from eager for `{}`: {} vs {}",
-                            expr, ee, ne
-                        );
-                    }
-                    (eager, off, on) => {
+            let opts = |trace: Trace| ExecOptions {
+                threads,
+                partitions: threads,
+                trace,
+                ..ExecOptions::default()
+            };
+            let eager =
+                execute_eager(&iom, &registry, &sc.dictionary, opts(Trace::disabled()));
+            let off = execute(&iom, &registry, &sc.dictionary, opts(Trace::disabled()));
+            let recorder = Trace::enabled();
+            let on = execute(&iom, &registry, &sc.dictionary, opts(recorder.clone()));
+            match (eager, off, on) {
+                (Ok((eager, _)), Ok((off, _)), Ok((on, _))) => {
+                    prop_assert_eq!(
+                        off.tuples(),
+                        on.tuples(),
+                        "tracing changed the answer for `{}` (threads={})",
+                        expr, threads
+                    );
+                    prop_assert!(
+                        eager.tagged_set_eq(&on),
+                        "traced run diverges from eager on `{}` (threads={})",
+                        expr, threads
+                    );
+                    let report = recorder.report().expect("enabled recorder reports");
+                    if let Err(e) = report.well_formed() {
                         panic!(
-                            "engines disagree on success for `{expr}` \
-                             (threads={threads}, batch={batch}): eager {} / off {} / on {}",
-                            eager.is_ok(),
-                            off.is_ok(),
-                            on.is_ok()
+                            "malformed span tree for `{expr}` \
+                             (threads={threads}): {e}"
                         );
                     }
+                }
+                (Err(ee), Err(oe), Err(ne)) => {
+                    prop_assert!(
+                        same_error_kind(&oe, &ne),
+                        "tracing changed the rejection for `{}`: off {} vs on {}",
+                        expr, oe, ne
+                    );
+                    prop_assert!(
+                        same_error_kind(&ee, &ne),
+                        "traced rejection diverges from eager for `{}`: {} vs {}",
+                        expr, ee, ne
+                    );
+                }
+                (eager, off, on) => {
+                    panic!(
+                        "engines disagree on success for `{expr}` \
+                         (threads={threads}): eager {} / off {} / on {}",
+                        eager.is_ok(),
+                        off.is_ok(),
+                        on.is_ok()
+                    );
                 }
             }
         }

@@ -14,9 +14,9 @@
 //!   so state changes (new queries, scrape-driven window advances) are
 //!   visible on the very next read.
 //!
-//! CI runs this suite under both `POLYGEN_THREADS=1` and `=4` (and both
-//! executor batch modes), so the catalog's splice-at-admission path is
-//! exercised with sequential and partition-parallel engines alike.
+//! CI runs this suite under both `POLYGEN_THREADS=1` and `=4`, so the
+//! catalog's splice-at-admission path is exercised with sequential and
+//! partition-parallel engines alike.
 
 mod common;
 
